@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -26,9 +27,110 @@ func main() {
 	os.Exit(realMain())
 }
 
+// gates holds the flags of the gated experiments (ci, acc, drift).
+type gates struct {
+	jsonOut                   bool
+	outDir, gateDir           string
+	maxRegress, maxAccRegress float64
+}
+
+// experiment is one name -exp accepts besides "all". An explicit
+// experiment runs only when named; "all" skips it.
+type experiment struct {
+	name     string
+	explicit bool
+	run      func(o harness.Options, g gates) (string, error)
+}
+
+// plain adapts a harness experiment that needs only the options.
+func plain(f func(harness.Options) (string, error)) func(harness.Options, gates) (string, error) {
+	return func(o harness.Options, _ gates) (string, error) { return f(o) }
+}
+
+// table adapts a harness table that also returns its rows.
+func table(f func(harness.Options) (string, []harness.Row, error)) func(harness.Options, gates) (string, error) {
+	return func(o harness.Options, _ gates) (string, error) { s, _, err := f(o); return s, err }
+}
+
+// experiments is every experiment in run order.
+var experiments = []experiment{
+	{"table1", false, plain(harness.Table1)},
+	{"fig6", false, plain(harness.Figure6)},
+	{"table2", false, table(harness.Table2)},
+	{"table3", false, table(harness.Table3)},
+	{"table4", false, table(harness.Table4)},
+	{"table5", false, plain(harness.Table5)},
+	{"table6", false, plain(harness.Table6)},
+	{"fig7a", false, plain(harness.Figure7a)},
+	{"fig7b", false, plain(harness.Figure7b)},
+	{"fig7c", false, plain(harness.Figure7c)},
+	{"fig7d", false, plain(harness.Figure7d)},
+	{"train", false, plain(harness.TrainThroughput)},
+	{"serve", false, plain(func(o harness.Options) (string, error) {
+		res, err := harness.ServeLoad(o)
+		if err != nil {
+			return "", err
+		}
+		return res.Report, nil
+	})},
+	// The fault-injection acceptance run: inject panics, NaN estimates, and
+	// kernel stalls into a live serving stack and gate on the fault-tolerance
+	// invariants (zero malformed responses, bounded p99, clean recovery, torn
+	// checkpoint writes contained).
+	{"chaos", true, plain(func(o harness.Options) (string, error) {
+		res, err := harness.ChaosLoad(o)
+		if res == nil {
+			return "", err
+		}
+		return res.Report, err
+	})},
+	// The CI benchmark-regression gate: measure, optionally write JSON,
+	// compare normalized throughput against the committed baseline. `all`
+	// already measures serving and training through serve and train.
+	{"ci", true, func(o harness.Options, g gates) (string, error) {
+		return harness.RunCIBench(o, g.jsonOut, g.outDir, g.gateDir, g.maxRegress)
+	}},
+	// The accuracy-regression gate: score the fixed-seed golden workload
+	// (disjunctive and null-aware queries included) and compare p95 q-error
+	// against the committed baseline.
+	{"acc", true, func(o harness.Options, g gates) (string, error) {
+		return harness.RunAccuracyBench(o, g.jsonOut, g.outDir, g.gateDir, g.maxAccRegress)
+	}},
+	// The accuracy-under-drift gate: pour a skewed append through the ingest
+	// journal, refresh, and require the refreshed model to beat the stale one
+	// on exactly relabeled truth. Self-relative (no baseline).
+	{"drift", true, func(o harness.Options, g gates) (string, error) {
+		return harness.RunDriftBench(o, g.jsonOut, g.outDir)
+	}},
+}
+
+// experimentNames lists the valid -exp names, "all" first.
+func experimentNames() []string {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return names
+}
+
+// parseExperiments turns the -exp list into the set of names to run,
+// rejecting any name that would otherwise select nothing.
+func parseExperiments(list string) (map[string]bool, error) {
+	names := experimentNames()
+	want := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(names, e) {
+			return nil, fmt.Errorf("unknown experiment %q; valid: %s", e, strings.Join(names, ","))
+		}
+		want[e] = true
+	}
+	return want, nil
+}
+
 func realMain() int {
 	quick := flag.Bool("quick", false, "run the CI-sized configuration (seconds per experiment)")
-	exp := flag.String("exp", "all", "comma-separated experiments: table1,fig6,table2,table3,table4,table5,table6,fig7a,fig7b,fig7c,fig7d,train,serve,chaos,ci,acc,drift")
+	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experimentNames(), ","))
 	evalWorkers := flag.Int("evalworkers", 0, "concurrent estimation goroutines for batch-capable estimators (0 = option default)")
 	serveClients := flag.Int("serveclients", 0, "exp serve/ci: concurrent closed-loop load-test clients (0 = option default)")
 	serveRequests := flag.Int("serverequests", 0, "exp serve/ci: single-query requests per load-test phase (0 = option default)")
@@ -40,6 +142,11 @@ func realMain() int {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the experiments) to this file")
 	flag.Parse()
+	want, err := parseExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		return 2
+	}
 
 	// Profiles turn perf-PR claims into evidence: run the same experiment
 	// before and after and diff the flame graphs instead of guessing.
@@ -85,97 +192,27 @@ func realMain() int {
 		o.ServeRequests = *serveRequests
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
+	g := gates{
+		jsonOut:       *jsonOut,
+		outDir:        *outDir,
+		gateDir:       *gateDir,
+		maxRegress:    *maxRegress,
+		maxAccRegress: *maxAccRegress,
 	}
-	all := want["all"]
-
 	rc := 0
-	run := func(name string, fn func() (string, error)) {
-		if rc != 0 || (!all && !want[name]) {
-			return
+	for _, e := range experiments {
+		if !want[e.name] && (e.explicit || !want["all"]) {
+			continue
 		}
 		start := time.Now()
-		out, err := fn()
-		if err != nil {
-			log.Printf("%s: %v", name, err)
-			rc = 1
-			return
-		}
-		fmt.Printf("%s\n(%s in %s)\n\n", out, name, time.Since(start).Round(time.Millisecond))
-	}
-
-	run("table1", func() (string, error) { return harness.Table1(o) })
-	run("fig6", func() (string, error) { return harness.Figure6(o) })
-	run("table2", func() (string, error) { s, _, err := harness.Table2(o); return s, err })
-	run("table3", func() (string, error) { s, _, err := harness.Table3(o); return s, err })
-	run("table4", func() (string, error) { s, _, err := harness.Table4(o); return s, err })
-	run("table5", func() (string, error) { return harness.Table5(o) })
-	run("table6", func() (string, error) { return harness.Table6(o) })
-	run("fig7a", func() (string, error) { return harness.Figure7a(o) })
-	run("fig7b", func() (string, error) { return harness.Figure7b(o) })
-	run("fig7c", func() (string, error) { return harness.Figure7c(o) })
-	run("fig7d", func() (string, error) { return harness.Figure7d(o) })
-	run("train", func() (string, error) { return harness.TrainThroughput(o) })
-	run("serve", func() (string, error) {
-		res, err := harness.ServeLoad(o)
-		if err != nil {
-			return "", err
-		}
-		return res.Report, nil
-	})
-	// The fault-injection acceptance run: inject panics, NaN estimates, and
-	// kernel stalls into a live serving stack and gate on the fault-tolerance
-	// invariants (zero malformed responses, bounded p99, clean recovery, torn
-	// checkpoint writes contained). Runs only on explicit request, like ci.
-	if want["chaos"] && rc == 0 {
-		start := time.Now()
-		res, err := harness.ChaosLoad(o)
-		if res != nil {
-			fmt.Printf("%s", res.Report)
-		}
-		if err != nil {
-			log.Printf("chaos: %v", err)
-			rc = 1
-		} else {
-			fmt.Printf("(chaos in %s)\n\n", time.Since(start).Round(time.Millisecond))
-		}
-	}
-	// The CI benchmark-regression gate: measure, optionally write JSON,
-	// compare normalized throughput against the committed baseline. Runs
-	// only on explicit request — `-exp all` already measures serving and
-	// training through the serve/train experiments.
-	if want["ci"] && rc == 0 {
-		out, err := harness.RunCIBench(o, *jsonOut, *outDir, *gateDir, *maxRegress)
+		out, err := e.run(o, g)
 		fmt.Print(out)
 		if err != nil {
-			log.Printf("ci: %v", err)
+			log.Printf("%s: %v", e.name, err)
 			rc = 1
+			break
 		}
-	}
-	// The accuracy-regression gate: score the fixed-seed golden workload
-	// (disjunctive and null-aware queries included) and compare p95 q-error
-	// against the committed baseline. Like `ci`, runs only on request.
-	if want["acc"] && rc == 0 {
-		out, err := harness.RunAccuracyBench(o, *jsonOut, *outDir, *gateDir, *maxAccRegress)
-		fmt.Print(out)
-		if err != nil {
-			log.Printf("acc: %v", err)
-			rc = 1
-		}
-	}
-	// The accuracy-under-drift gate: pour a skewed append through the ingest
-	// journal, refresh, and require the refreshed model to beat the stale one
-	// on exactly relabeled truth. Self-relative (no baseline); like `acc`,
-	// runs only on request.
-	if want["drift"] && rc == 0 {
-		out, err := harness.RunDriftBench(o, *jsonOut, *outDir)
-		fmt.Print(out)
-		if err != nil {
-			log.Printf("drift: %v", err)
-			rc = 1
-		}
+		fmt.Printf("\n(%s in %s)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	return rc
 }

@@ -5,6 +5,7 @@ import (
 
 	"neurocard/internal/core"
 	"neurocard/internal/datagen"
+	"neurocard/internal/harness"
 )
 
 // BenchmarkTrainThroughput is the construction-cost baseline tracked in
@@ -12,15 +13,43 @@ import (
 // step) on a small synthetic JOB-light instance. One op is one gradient step
 // of BatchSize tuples; tuples/sec is reported alongside allocs/op so
 // training-path regressions are visible the same way serving ones are.
+//
+// default is the historical shape (DefaultConfig model, scale 0.05, one
+// sampler worker). perfbench is the model perfbench trains during every
+// set-up: the harness.Quick() options at JOB-light scale 0.08, batch 256.
 func BenchmarkTrainThroughput(b *testing.B) {
-	d, err := datagen.JOBLight(datagen.Config{Seed: 1, Scale: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.ContentCols = d.ContentCols
-	cfg.BatchSize = 256
-	cfg.SamplerWorkers = 1
+	b.Run("default", func(b *testing.B) {
+		d, err := datagen.JOBLight(datagen.Config{Seed: 1, Scale: 0.05})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.ContentCols = d.ContentCols
+		cfg.BatchSize = 256
+		cfg.SamplerWorkers = 1
+		benchTrain(b, d, cfg)
+	})
+	b.Run("perfbench", func(b *testing.B) {
+		o := harness.Quick()
+		d, err := datagen.JOBLight(datagen.Config{Seed: o.Seed, Scale: o.DataScale})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchTrain(b, d, core.Config{
+			Model:          o.Model,
+			FactBits:       o.FactBits,
+			ContentCols:    d.ContentCols,
+			BatchSize:      o.BatchSize,
+			WildcardProb:   0.5,
+			SamplerWorkers: o.SamplerWorkers,
+			Seed:           o.Seed,
+			PSamples:       o.PSamples,
+		})
+	})
+}
+
+// benchTrain builds an estimator and times b.N gradient steps of Train.
+func benchTrain(b *testing.B, d *datagen.Dataset, cfg core.Config) {
 	est, err := core.Build(d.Schema, cfg)
 	if err != nil {
 		b.Fatal(err)

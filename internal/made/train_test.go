@@ -1,9 +1,14 @@
 package made
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
+
+	"neurocard/internal/nn"
 )
 
 // TestTrainSessionMatchesTrainStep is the training-path equivalence
@@ -155,4 +160,83 @@ func BenchmarkTrainStep(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N*len(batch))/b.Elapsed().Seconds(), "tuples/sec")
 	})
+}
+
+// goldenTrainSHA is the SHA-256 of the float64 parameter bytes that
+// trainGolden produces. It was recorded before the head phase ran as
+// column tasks, when every head kernel was split row-wise across the pool
+// instead; the same value at every pool size pins both the task-parallel
+// heads and their ordered reductions to the earlier weights bit for bit.
+const goldenTrainSHA = "575370fa2b71237b8cfb9f0d418fa819d5000799ae4f73e12998f41b7aa1f320"
+
+// goldenShape is a model with uneven heads (domains 2 to 300, three
+// domain-2 columns) and batches large enough that every trunk kernel splits
+// into row chunks on a parallel pool.
+func goldenShape(t testing.TB) (*Model, *TrainSession) {
+	t.Helper()
+	doms := []int{300, 2, 57, 12, 2, 2, 100, 30, 8, 2}
+	m, err := New(Config{EmbedDim: 8, Hidden: 64, Blocks: 2, LR: 3e-3, ClipNorm: 5, Seed: 5}, doms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, m.NewTrainSession(96)
+}
+
+// paramSHA hashes every parameter value's IEEE-754 bits in parameter order.
+func paramSHA(m *Model) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, p := range m.params {
+		for _, v := range p.Val.Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTrainSessionGoldenWeights trains the golden shape for 25 wildcard-
+// masked steps of varying batch size on pools of 1, 2 and 4 slots, running
+// the heads on as many slots, and requires the recorded parameter hash
+// every time.
+func TestTrainSessionGoldenWeights(t *testing.T) {
+	var losses []float64
+	for _, slots := range []int{1, 2, 4} {
+		m, ts := goldenShape(t)
+		ts.pool = nn.NewPool(slots)
+		ts.slots = make([]headSlot, slots)
+		rng := rand.New(rand.NewSource(11))
+		loss := 0.0
+		for step := 0; step < 25; step++ {
+			loss = ts.Step(randBatch(rng, m.doms, 70+rng.Intn(27)), 0.5)
+		}
+		if got := paramSHA(m); got != goldenTrainSHA {
+			t.Errorf("%d slots: parameter SHA-256 %s, want %s", slots, got, goldenTrainSHA)
+		}
+		losses = append(losses, loss)
+	}
+	for i, l := range losses {
+		if l != losses[0] {
+			t.Errorf("final loss %v at pool size index %d, want %v as on 1 slot", l, i, losses[0])
+		}
+	}
+}
+
+// seedStepAllocs is the steady-state allocation count of one Step on the
+// golden shape at a full 96-row batch with a 2-slot pool, measured when
+// every head kernel was a separate row-parallel pool dispatch.
+const seedStepAllocs = 206
+
+// TestTrainSessionStepAllocs pins the steady-state allocations of a
+// 2-slot Step at no more than that count.
+func TestTrainSessionStepAllocs(t *testing.T) {
+	m, ts := goldenShape(t)
+	ts.pool = nn.NewPool(2)
+	batch := randBatch(rand.New(rand.NewSource(11)), m.doms, 96)
+	ts.Step(batch, 0.5) // warm the pool's workers
+	got := testing.AllocsPerRun(20, func() { ts.Step(batch, 0.5) })
+	t.Logf("%v allocs per 2-slot step (earlier row-parallel heads: %d)", got, seedStepAllocs)
+	if got > seedStepAllocs {
+		t.Fatalf("%v allocs per step, want at most %d", got, seedStepAllocs)
+	}
 }

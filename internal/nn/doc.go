@@ -36,8 +36,8 @@
 // reassociating dot reduction and the polynomial exp32. On non-amd64
 // builds the assembly falls back to pure Go (simd_generic.go) with
 // identical per-element semantics. Gradient kernels (MatMulATAdd,
-// BiasGradAdd, CrossEntropy) are float64-only: training never runs at
-// reduced precision.
+// BiasGradAdd, CrossEntropy, CrossEntropyInPlace) are float64-only:
+// training never runs at reduced precision.
 //
 // # Kernel structure
 //
@@ -49,6 +49,11 @@
 // accumulation streams while preserving the scalar loop's per-element
 // accumulation order exactly — the basis of the serving path's
 // bit-determinism guarantees (DESIGN.md §1.2, §1.4).
+//
+// Work too small to split by rows runs as whole tasks instead: Pool.RunTasks
+// hands n independent tasks to the pool's slots, and each task calls the
+// kernels on Serial. Training heads use it, one task per column (DESIGN.md
+// §1.3).
 //
 // The paper trains its ResMADE with PyTorch on a GPU; this package is the
 // substitution that keeps the estimator's statistics identical (maximum

@@ -188,6 +188,32 @@ func CrossEntropy(logits *Mat, targets []int32, dLogits *Mat) float64 {
 	return defaultPool.CrossEntropy(logits, targets, dLogits)
 }
 
+// CrossEntropyInPlace is the head-backward epilogue of one training column,
+// run on the calling goroutine. It overwrites logits with the scaled
+// gradient scale·(softmax − onehot), accumulates that gradient's column
+// sums into biasGrad, and returns the summed (unscaled) negative
+// log-likelihood. Rows whose target is negative contribute zero loss and
+// zero gradient. It is crossEntropyChunk with dLogits = logits (each row
+// reads an element before writing it) followed by one fused scale and
+// bias-gradient pass in BiasGradAdd's row order, so the results are
+// bit-identical to CrossEntropy into a separate buffer, a scaling pass and
+// BiasGradAdd, without the extra batch × domain buffer.
+func CrossEntropyInPlace(logits *Mat, targets []int32, scale float64, biasGrad []float64) float64 {
+	if len(targets) != logits.Rows || len(biasGrad) != logits.Cols {
+		panic("nn: CrossEntropyInPlace dimension mismatch")
+	}
+	loss := crossEntropyChunk(logits, targets, logits, 0, logits.Rows)
+	for i := 0; i < logits.Rows; i++ {
+		row := logits.Row(i)
+		for j, v := range row {
+			v *= scale
+			row[j] = v
+			biasGrad[j] += v
+		}
+	}
+	return loss
+}
+
 // Gather copies embedding rows table[ids[i]] into out rows at column offset
 // outCol. Rows with negative ids are left untouched.
 func Gather(out *Mat, outCol int, table *Mat, ids []int32) {

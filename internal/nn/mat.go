@@ -433,12 +433,37 @@ func (p *Pool) MatMulATAdd(dst, a, b *Mat) {
 // MatMulATAdd accumulates dst += aᵀ·b on the default pool.
 func MatMulATAdd(dst, a, b *Mat) { defaultPool.MatMulATAdd(dst, a, b) }
 
+// matMulBTChunk computes eight output columns per pass over a row of a,
+// one accumulator each: the accumulators share every load of a and hide
+// the add latency a single running sum would serialize on (training heads
+// run dProj = dLogits·emb through it, with a batch × domain and only
+// EmbedDim rows of b). Every element still sums over ascending k from
+// zero, exactly as one column at a time would.
 func matMulBTChunk[T Elem](dst, a, b *MatG[T], lo, hi int) {
+	n := a.Cols
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
+		j := 0
+		for ; j+8 <= b.Rows; j += 8 {
+			b0, b1, b2, b3 := b.Row(j)[:n], b.Row(j + 1)[:n], b.Row(j + 2)[:n], b.Row(j + 3)[:n]
+			b4, b5, b6, b7 := b.Row(j + 4)[:n], b.Row(j + 5)[:n], b.Row(j + 6)[:n], b.Row(j + 7)[:n]
+			var s0, s1, s2, s3, s4, s5, s6, s7 T
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+				s4 += av * b4[k]
+				s5 += av * b5[k]
+				s6 += av * b6[k]
+				s7 += av * b7[k]
+			}
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+			drow[j+4], drow[j+5], drow[j+6], drow[j+7] = s4, s5, s6, s7
+		}
+		for ; j < b.Rows; j++ {
+			brow := b.Row(j)[:n]
 			var sum T
 			for k, av := range arow {
 				sum += av * brow[k]

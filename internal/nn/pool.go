@@ -225,3 +225,43 @@ func (p *Pool) parallelForSum(n int, fn func(lo, hi int) float64) float64 {
 	}
 	return total
 }
+
+// RunTasks runs fn(slot, i) once for every task i in [0, n), spreading the
+// tasks over min(parallelism, maxSlots, n) goroutines: the caller takes
+// slot 0 and each participating worker one further slot, so slot indexes
+// stay below maxSlots and a caller can size per-slot scratch by it. Every
+// slot claims the next unstarted task from a shared counter until none
+// remain, so uneven tasks balance dynamically; callers that order tasks
+// largest first get the best balance. Calls sharing a slot index never
+// overlap, which lets fn use per-slot scratch without locks. Which slot
+// runs which task varies from call to call, so a task's result must not
+// depend on its slot. Panics are contained and re-raised on the caller as
+// in parallelFor.
+func (p *Pool) RunTasks(n, maxSlots int, fn func(slot, i int)) {
+	par := min(p.parallelism(), maxSlots, n)
+	if par <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	p.start(p.parallelism())
+	var next atomic.Int64
+	drain := func(slot, _ int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(slot, i)
+		}
+	}
+	box := &syncBox{}
+	for slot := 1; slot < par; slot++ {
+		box.wg.Add(1)
+		t := task{fn: drain, lo: slot, box: box}
+		select {
+		case p.tasks <- t:
+		default: // queue full: the caller drains this slot's share itself
+			t.run()
+		}
+	}
+	task{fn: drain, lo: 0, box: box}.runInline()
+	box.finish()
+}

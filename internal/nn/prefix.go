@@ -337,23 +337,35 @@ func matMulAddColsChunk(dst, a, b *Mat, m, lo, hi int) {
 	}
 }
 
-// MatMulAddCols accumulates dst[:, :m] += a·b[:, :m], leaving columns ≥ m
-// untouched. Head backprop uses it (with b = headWᵀ and m = the head's
-// hidden-prefix width) to scatter dProj·headWᵀ into the prefix of dh.
-func (p *Pool) MatMulAddCols(dst, a, b *Mat, m int) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || m > dst.Cols || m > b.Cols {
-		panic(fmt.Sprintf("nn: MatMulAddCols dims %dx%d · %dx%d[:%d] -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, m, dst.Rows, dst.Cols))
+// MatMulAddColsSeq accumulates dst[:, :m[i]] += a[i]·b[i][:, :m[i]] for
+// i = 0, 1, … in that order, leaving columns ≥ m[i] untouched by term i:
+// the same per-element sums as one single-term call per term, in one
+// row-parallel dispatch instead of len(a). Training sessions use it with
+// a[i] = column i's dProj, b[i] = its headWᵀ and m[i] = its hidden-prefix
+// width, folding every head's gradient into dh in ascending column order
+// after the heads have run concurrently.
+func (p *Pool) MatMulAddColsSeq(dst *Mat, a, b []*Mat, m []int) {
+	if len(b) != len(a) || len(m) != len(a) {
+		panic(fmt.Sprintf("nn: MatMulAddColsSeq has %d, %d and %d terms", len(a), len(b), len(m)))
 	}
-	if p.inline(a.Rows) {
-		matMulAddColsChunk(dst, a, b, m, 0, a.Rows)
+	for i := range a {
+		if a[i].Cols != b[i].Rows || dst.Rows != a[i].Rows || m[i] > dst.Cols || m[i] > b[i].Cols {
+			panic(fmt.Sprintf("nn: MatMulAddColsSeq term %d dims %dx%d · %dx%d[:%d] -> %dx%d",
+				i, a[i].Rows, a[i].Cols, b[i].Rows, b[i].Cols, m[i], dst.Rows, dst.Cols))
+		}
+	}
+	if p.inline(dst.Rows) {
+		for i := range a {
+			matMulAddColsChunk(dst, a[i], b[i], m[i], 0, dst.Rows)
+		}
 		return
 	}
-	p.parallelFor(a.Rows, func(lo, hi int) { matMulAddColsChunk(dst, a, b, m, lo, hi) })
+	p.parallelFor(dst.Rows, func(lo, hi int) {
+		for i := range a {
+			matMulAddColsChunk(dst, a[i], b[i], m[i], lo, hi)
+		}
+	})
 }
-
-// MatMulAddCols runs on the default pool.
-func MatMulAddCols(dst, a, b *Mat, m int) { defaultPool.MatMulAddCols(dst, a, b, m) }
 
 func addBiasReluChunk(x *Mat, bias []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {

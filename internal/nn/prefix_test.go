@@ -169,18 +169,26 @@ func TestMatMulAddColsMatchesDense(t *testing.T) {
 		a := randMat(rng, rows, inner)
 		sparsify(rng, a)
 		b := randMat(rng, inner, cols)
+		// A second term over a narrower prefix: columns in [m2, m) get only
+		// the first term.
+		a2 := randMat(rng, rows, inner)
+		b2 := randMat(rng, inner, cols)
+		m2 := m / 2
 		got := randMat(rng, rows, cols)
 		orig := got.Clone()
-		MatMulAddCols(got, a, b, m)
-		full := naiveMul(a, b)
+		defaultPool.MatMulAddColsSeq(got, []*Mat{a, a2}, []*Mat{b, b2}, []int{m, m2})
+		full, full2 := naiveMul(a, b), naiveMul(a2, b2)
 		for i := 0; i < rows; i++ {
 			for c := 0; c < cols; c++ {
 				want := orig.At(i, c)
 				if c < m {
 					want += full.At(i, c)
 				}
+				if c < m2 {
+					want += full2.At(i, c)
+				}
 				if math.Abs(got.At(i, c)-want) > 1e-12 {
-					t.Fatalf("MatMulAddCols (%d,%d): got %v want %v", i, c, got.At(i, c), want)
+					t.Fatalf("MatMulAddColsSeq (%d,%d): got %v want %v", i, c, got.At(i, c), want)
 				}
 			}
 		}

@@ -366,3 +366,36 @@ func TestCoalesceConcurrentHotSwap(t *testing.T) {
 func httpError(status int, body []byte) error {
 	return fmt.Errorf("status %d: %s", status, body)
 }
+
+// TestCoalesceUnloadBeforeFlushIs404: a request the coalescer accepted for
+// a model that is unloaded before the batch flushes must fail as not
+// found, not as a bad request. The fuser parks on a fake window timer, the
+// test unloads the model, then fires the timer.
+func TestCoalesceUnloadBeforeFlushIs404(t *testing.T) {
+	clock := newFakeClock()
+	srv := New(Config{ModelsDir: t.TempDir(), FuseWindow: time.Hour, Clock: clock})
+	defer srv.Close()
+	if _, err := srv.reg.Install("m", "mem", coalesceEstimator(t, 7, 256)); err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(3)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := srv.coalesce(context.Background(), "m", query.Query{Tables: []string{"A"}}, &seed)
+		errc <- err
+	}()
+	<-clock.afterCalled
+	f := srv.fuserFor("m")
+	waitFor(t, "request collected", func() bool { return f.collected.Load() == 1 })
+	if err := srv.reg.Unload("m"); err != nil {
+		t.Fatal(err)
+	}
+	clock.fire()
+	err := <-errc
+	if err == nil {
+		t.Fatal("estimate of an unloaded model succeeded")
+	}
+	if got := estimateStatus(err); got != http.StatusNotFound {
+		t.Fatalf("status %d for %v, want 404", got, err)
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -240,19 +241,25 @@ func (r *Registry) SetDefault(name string) error {
 	return nil
 }
 
+// errNotLoaded is wrapped by every failed Get, so an estimate answers 404
+// however late its lookup runs: the coalescer resolves the model again when
+// it flushes, and an Unload may land between the handler's lookup and that
+// flush.
+var errNotLoaded = errors.New("not loaded")
+
 // Get returns the named model, or the default when name is empty.
 func (r *Registry) Get(name string) (*Entry, error) {
 	if name == "" {
 		if e := r.def.Load(); e != nil {
 			return e, nil
 		}
-		return nil, fmt.Errorf("server: no model loaded")
+		return nil, fmt.Errorf("server: default model %w", errNotLoaded)
 	}
 	r.mu.RLock()
 	e, ok := r.models[name]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("server: model %q is not loaded", name)
+		return nil, fmt.Errorf("server: model %q is %w", name, errNotLoaded)
 	}
 	return e, nil
 }

@@ -620,6 +620,8 @@ func estimateStatus(err error) int {
 	switch {
 	case errors.Is(err, errSaturated):
 		return http.StatusTooManyRequests
+	case errors.Is(err, errNotLoaded):
+		return http.StatusNotFound
 	case errors.Is(err, errClosing), errors.Is(err, errBreakerOpen), errors.Is(err, errShardMissing):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
