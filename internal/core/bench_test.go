@@ -46,6 +46,12 @@ var benchPrecisions = []core.Precision{core.PrecisionFloat64, core.PrecisionFloa
 // EXPERIMENTS.md: single-query progressive-sampling latency, per serving
 // precision. It reports queries/sec alongside allocs/op so hot-path
 // regressions are visible.
+//
+// The float64/float32 sub-benchmarks run the historical untrained
+// DefaultConfig model. perfbench/<precision> runs the model perfbench
+// serves: the harness.Quick() shape trained on 16384 tuples of JOB-light at
+// scale 0.08, estimating the fixed JOB-light query set on serial kernels, as
+// the daemon's batch workers do.
 func BenchmarkEstimateLatency(b *testing.B) {
 	for _, prec := range benchPrecisions {
 		b.Run(string(prec), func(b *testing.B) {
@@ -61,6 +67,47 @@ func BenchmarkEstimateLatency(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 		})
 	}
+	b.Run("perfbench", func(b *testing.B) {
+		est, qs := perfbenchEstimator(b)
+		for _, prec := range benchPrecisions {
+			b.Run(string(prec), func(b *testing.B) {
+				if err := est.SetPrecision(prec); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := est.EstimateIndexedSerial(qs[i%len(qs)], int64(i)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
+			})
+		}
+	})
+}
+
+// perfbenchEstimator trains the model perfbench serves (perfbenchSetup,
+// 16384 tuples) and returns it with the fixed JOB-light query set.
+func perfbenchEstimator(b *testing.B) (*core.Estimator, []query.Query) {
+	b.Helper()
+	d, cfg := perfbenchSetup(b)
+	est, err := core.Build(d.Schema, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := est.Train(16384); err != nil {
+		b.Fatal(err)
+	}
+	wl, err := workload.JOBLight(d, cfg.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := make([]query.Query, len(wl.Queries))
+	for i, lq := range wl.Queries {
+		qs[i] = lq.Query
+	}
+	return est, qs
 }
 
 // BenchmarkEstimateBatch measures concurrent batch throughput across worker

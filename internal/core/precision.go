@@ -112,10 +112,11 @@ func (e *Estimator) SetPrecision(p Precision) error {
 }
 
 // ServingWeightBytes reports the resident bytes of the weights the serving
-// kernels read: NumParams × 4 at float32, × 8 at float64. At float32 the
-// float64 masters additionally stay resident for training and checkpointing
-// — this gauge tracks the serving working set (what the per-query forward
-// passes stream through cache), not total process memory.
+// kernels read: NumParams × 4 at float32; NumParams × 8 at float64, plus the
+// float64 view's derived layouts on AVX hosts (made.Model.DerivedBytes64).
+// At float32 the float64 masters additionally stay resident for training
+// and checkpointing — this gauge tracks the serving working set (what the
+// per-query forward passes stream through cache), not total process memory.
 func (e *Estimator) ServingWeightBytes() int {
 	if e.trainable == nil {
 		return 0
@@ -124,5 +125,5 @@ func (e *Estimator) ServingWeightBytes() int {
 	if e.Precision() == PrecisionFloat32 {
 		return n * 4
 	}
-	return n * 8
+	return n*8 + e.trainable.DerivedBytes64()
 }

@@ -76,8 +76,15 @@ func TestSetPrecisionSwitchesWidth(t *testing.T) {
 	if got := est.Precision(); got != core.PrecisionFloat32 {
 		t.Fatalf("precision after SetPrecision(f32) = %v", got)
 	}
-	if got := est.ServingWeightBytes(); got != bytes64/2 {
-		t.Fatalf("float32 ServingWeightBytes = %d, want half of %d", got, bytes64)
+	// The float32 view is half the float64 parameters; the float64 view's
+	// derived layouts (AVX hosts only) have no float32 counterpart.
+	params64 := bytes64 - est.Model().DerivedBytes64()
+	if params64 != est.Model().NumParams()*8 {
+		t.Fatalf("float64 ServingWeightBytes = %d, want %d params × 8 + %d derived",
+			bytes64, est.Model().NumParams(), est.Model().DerivedBytes64())
+	}
+	if got := est.ServingWeightBytes(); got != params64/2 {
+		t.Fatalf("float32 ServingWeightBytes = %d, want half of %d", got, params64)
 	}
 	if err := est.SetPrecision("bfloat16"); err == nil {
 		t.Fatal("SetPrecision accepted an unknown width")

@@ -30,22 +30,30 @@ func BenchmarkTrainThroughput(b *testing.B) {
 		benchTrain(b, d, cfg)
 	})
 	b.Run("perfbench", func(b *testing.B) {
-		o := harness.Quick()
-		d, err := datagen.JOBLight(datagen.Config{Seed: o.Seed, Scale: o.DataScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchTrain(b, d, core.Config{
-			Model:          o.Model,
-			FactBits:       o.FactBits,
-			ContentCols:    d.ContentCols,
-			BatchSize:      o.BatchSize,
-			WildcardProb:   0.5,
-			SamplerWorkers: o.SamplerWorkers,
-			Seed:           o.Seed,
-			PSamples:       o.PSamples,
-		})
+		d, cfg := perfbenchSetup(b)
+		benchTrain(b, d, cfg)
 	})
+}
+
+// perfbenchSetup returns the data and configuration of the model perfbench
+// trains: the harness.Quick() options over JOB-light at scale 0.08.
+func perfbenchSetup(b *testing.B) (*datagen.Dataset, core.Config) {
+	b.Helper()
+	o := harness.Quick()
+	d, err := datagen.JOBLight(datagen.Config{Seed: o.Seed, Scale: o.DataScale})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, core.Config{
+		Model:          o.Model,
+		FactBits:       o.FactBits,
+		ContentCols:    d.ContentCols,
+		BatchSize:      o.BatchSize,
+		WildcardProb:   0.5,
+		SamplerWorkers: o.SamplerWorkers,
+		Seed:           o.Seed,
+		PSamples:       o.PSamples,
+	}
 }
 
 // benchTrain builds an estimator and times b.N gradient steps of Train.

@@ -24,8 +24,11 @@
 // # Serving precision
 //
 // Sessions are generic over the element width (nn.Elem). NewInferSession
-// instantiates float64 over a view that aliases the trainable parameters
-// (zero copy, always current); NewInferSession32 instantiates float32 over
+// instantiates float64 over a view that aliases the trainable parameters;
+// on AVX2 hosts that view is a per-version snapshot (weights64) that adds
+// the transposed output embeddings, and the session runs the bit-identical
+// AVX kernels (nn.MatMulCols64, nn.EmbedAxpy64). NewInferSession32
+// instantiates float32 over
 // an immutable converted snapshot (weights32) built once per model version
 // and shared by every session of the model — trunk and head weights are
 // stored transposed (nn.ConvertT32) so the extension kernels run contiguous

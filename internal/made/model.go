@@ -80,6 +80,8 @@ type Model struct {
 	// w32 caches the shared float32 serving snapshot (see weights32): built
 	// on first float32 session construction, refreshed when version moves.
 	w32 atomic.Pointer[servingWeights[float32]]
+	// w64 caches the float64 serving snapshot of AVX hosts (see weights64).
+	w64 atomic.Pointer[servingWeights[float64]]
 }
 
 // New builds a randomly initialized model for the given column domains.

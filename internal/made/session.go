@@ -240,23 +240,43 @@ func (s *InferSessionOf[T]) SetToken(r, col int, tok int32) {
 	from := m.prefixWidth[col]
 	zrow := s.z0.view(s.b).Row(r)
 	if old < 0 {
-		for k, v := range s.maskProj.Row(col)[from:] {
-			zrow[from+k] -= v
-		}
+		s.addMaskProj(zrow, col, from, -1)
 	} else {
 		s.w.addEmbProjFrom(zrow, col, old, -1, from)
 	}
 	if tok < 0 {
 		tok = MaskToken
-		for k, v := range s.maskProj.Row(col)[from:] {
-			zrow[from+k] += v
-		}
+		s.addMaskProj(zrow, col, from, 1)
 	} else {
 		s.w.addEmbProjFrom(zrow, col, tok, 1, from)
 	}
 	s.tokens[r*m.n+col] = tok
 	if from < s.validW {
 		s.validW = from
+	}
+}
+
+// unitRow is the one-entry embedding that turns nn.EmbedAxpy64 into a
+// single-row update: y + (±1)·m is exactly y ± m.
+var unitRow = []float64{1}
+
+// addMaskProj adds (sign = 1) or subtracts (sign = -1) column col's MASK
+// contribution to a preactivation row over hidden units [from, Hidden).
+func (s *InferSessionOf[T]) addMaskProj(zrow []T, col, from int, sign T) {
+	if s.w.embVT != nil {
+		nn.EmbedAxpy64(any(zrow[from:]).([]float64), any(s.maskProj).(*nn.Mat), col, from,
+			unitRow, any(sign).(float64))
+		return
+	}
+	mrow := s.maskProj.Row(col)[from:]
+	if sign < 0 {
+		for k, v := range mrow {
+			zrow[from+k] -= v
+		}
+		return
+	}
+	for k, v := range mrow {
+		zrow[from+k] += v
 	}
 }
 
@@ -342,20 +362,29 @@ func (s *InferSessionOf[T]) extendTrunk(lo, hi int) {
 	for bi := range s.w.blocks {
 		blk := &s.w.blocks[bi]
 		a := s.mid[bi].view(b)
-		if blk.w1T != nil {
+		switch {
+		case blk.w1T != nil:
 			// Float32 view: transposed weights, contiguous SSE dot products
 			// per extended unit (see servingBlock.w1T).
 			nn.MatMulColsBT32(s.pool, any(a).(*nn.Mat32), any(cur).(*nn.Mat32),
 				any(blk.w1T).(*nn.Mat32), hi, lo, hi)
-		} else {
+		case s.w.embVT != nil:
+			// AVX float64 view: lanes across the extended units.
+			nn.MatMulCols64(s.pool, any(a).(*nn.Mat), any(cur).(*nn.Mat),
+				any(blk.w1).(*nn.Mat), hi, lo, hi)
+		default:
 			nn.MatMulColsG(s.pool, a, cur, blk.w1, hi, lo, hi)
 		}
 		nn.AddBiasReluCols(a, blk.b1, b, lo, hi)
 		f := s.res[bi].view(b)
-		if blk.w2T != nil {
+		switch {
+		case blk.w2T != nil:
 			nn.MatMulColsBT32(s.pool, any(f).(*nn.Mat32), any(a).(*nn.Mat32),
 				any(blk.w2T).(*nn.Mat32), hi, lo, hi)
-		} else {
+		case s.w.embVT != nil:
+			nn.MatMulCols64(s.pool, any(f).(*nn.Mat), any(a).(*nn.Mat),
+				any(blk.w2).(*nn.Mat), hi, lo, hi)
+		default:
 			nn.MatMulColsG(s.pool, f, a, blk.w2, hi, lo, hi)
 		}
 		nn.AddBiasResidualCols(f, cur, blk.b2, b, lo, hi)
@@ -382,14 +411,22 @@ func (s *InferSessionOf[T]) Probs(col int) *nn.MatG[T] {
 	}
 	top := s.topBuf.view(s.b)
 	proj := s.proj.view(s.b)
-	if s.w.headWT != nil {
+	out := s.logits.viewShape(s.b, m.doms[col])
+	switch {
+	case s.w.headWT != nil:
 		nn.MatMulColsBT32(s.pool, any(proj).(*nn.Mat32), any(top).(*nn.Mat32),
 			any(s.w.headWT[col]).(*nn.Mat32), mW, 0, m.cfg.EmbedDim)
-	} else {
+		nn.MatMulBTG(s.pool, out, proj, s.w.embVw[col])
+	case s.w.embVT != nil:
+		// AVX float64 view: lanes across the projection's EmbedDim outputs,
+		// then across the logits over the transposed embedding.
+		proj64 := any(proj).(*nn.Mat)
+		nn.MatMulCols64(s.pool, proj64, any(top).(*nn.Mat), any(s.w.headW[col]).(*nn.Mat), mW, 0, m.cfg.EmbedDim)
+		nn.MatMulCols64(s.pool, any(out).(*nn.Mat), proj64, s.w.embVT[col], m.cfg.EmbedDim, 0, m.doms[col])
+	default:
 		nn.MatMulSubG(s.pool, proj, top, s.w.headW[col], mW, m.cfg.EmbedDim)
+		nn.MatMulBTG(s.pool, out, proj, s.w.embVw[col])
 	}
-	out := s.logits.viewShape(s.b, m.doms[col])
-	nn.MatMulBTG(s.pool, out, proj, s.w.embVw[col])
 	nn.AddBiasG(s.pool, out, s.w.headB[col])
 	nn.SoftmaxRowsG(s.pool, out, out)
 	return out

@@ -207,3 +207,89 @@ func TestInferSessionRefreshAfterTraining(t *testing.T) {
 		assertProbsMatch(t, m, s, col, 1e-9)
 	}
 }
+
+// TestInferSessionAVXMatchesScalar: on a trained model, a float64 session on
+// the AVX kernels (the weights64 snapshot with its transposed embeddings)
+// returns bit-identical Probs on every column to a session on the aliasing
+// scalar view, through fan-out, divergent tokens, wildcard restores and
+// compaction — and still after further training moves the weight version.
+func TestInferSessionAVXMatchesScalar(t *testing.T) {
+	if !nn.AVX() {
+		t.Skip("AVX float64 serving kernels unavailable on this host")
+	}
+	for ci, tc := range []struct {
+		doms          []int
+		hidden, embed int
+		blocks        int
+	}{
+		{[]int{5, 3, 4}, 24, 6, 0},
+		{[]int{2, 2, 7, 3, 2, 19, 4}, 37, 9, 1},
+		{[]int{6, 33, 2, 8, 4, 2, 2, 11}, 64, 8, 2},
+	} {
+		cfg := DefaultConfig()
+		cfg.Hidden, cfg.EmbedDim, cfg.Blocks = tc.hidden, tc.embed, tc.blocks
+		cfg.Seed = int64(ci + 7)
+		m, err := New(cfg, tc.doms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(70 + ci)))
+		train := func(steps int) {
+			for i := 0; i < steps; i++ {
+				batch := make([][]int32, 32)
+				for r := range batch {
+					batch[r] = randTokens(rng, tc.doms)
+				}
+				m.TrainStep(batch, 0.5)
+			}
+		}
+		train(20)
+		scalar := newInferSession(m, 13, m.aliasWeights64)
+		avx := m.NewInferSession(13)
+		if avx.w.embVT == nil || scalar.w.embVT != nil {
+			t.Fatal("sessions are not on the AVX and scalar views")
+		}
+		same := func(round, col int) {
+			t.Helper()
+			want, got := scalar.Probs(col), avx.Probs(col)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("config %d round %d col %d: AVX prob %v, scalar %v", ci, round, col, got.Data[i], want.Data[i])
+				}
+			}
+		}
+		for round := 0; round < 3; round++ {
+			scalar.Reset(1)
+			avx.Reset(1)
+			same(round, 0)
+			tok := int32(rng.Intn(tc.doms[0]))
+			scalar.SetToken(0, 0, tok)
+			avx.SetToken(0, 0, tok)
+			scalar.Replicate(13)
+			avx.Replicate(13)
+			for col := 1; col < m.NumCols(); col++ {
+				same(round, col)
+				for r := 0; r < scalar.Rows(); r++ {
+					if rng.Float64() < 0.25 {
+						continue
+					}
+					tok := int32(rng.Intn(tc.doms[col]))
+					scalar.SetToken(r, col, tok)
+					avx.SetToken(r, col, tok)
+				}
+				if scalar.Rows() > 2 && rng.Float64() < 0.4 {
+					scalar.CompactRows(1, scalar.Rows()-1)
+					avx.CompactRows(1, avx.Rows()-1)
+					scalar.Shrink(scalar.Rows() - 1)
+					avx.Shrink(avx.Rows() - 1)
+				}
+			}
+			scalar.SetToken(0, 0, MaskToken)
+			avx.SetToken(0, 0, MaskToken)
+			for col := 0; col < m.NumCols(); col++ {
+				same(round, col)
+			}
+			train(3) // the next Reset must pick up the new weight version
+		}
+	}
+}

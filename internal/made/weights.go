@@ -4,11 +4,12 @@ import "neurocard/internal/nn"
 
 // servingWeights is the serving-kernel view of a model's parameters at
 // element width T. The float64 view aliases the trainable parameter storage
-// directly (zero copies, always current); the float32 view is a converted
-// snapshot built once per model version — conversion-at-load, shared by
-// every session of the model, so the resident serving-kernel bytes halve
-// regardless of session count. Checkpoints always store float64; a float32
-// view can be rebuilt from the masters at any time.
+// directly (zero copies); on AVX hosts it additionally carries derived
+// layouts (embVT) and is then, like the float32 view, a snapshot built once
+// per model version and shared by every session of the model. The float32
+// view is a converted snapshot — conversion-at-load, so the resident
+// serving-kernel bytes halve regardless of session count. Checkpoints always
+// store float64; every view can be rebuilt from the masters at any time.
 type servingWeights[T nn.Elem] struct {
 	m       *Model // metadata: offsets, prefixWidth, doms (never element data)
 	version uint64 // model version these weights mirror
@@ -25,8 +26,15 @@ type servingWeights[T nn.Elem] struct {
 	// on the float32 view, where the transposed layout turns the head
 	// projection into contiguous dot products (nn.MatMulColsBT32). It
 	// replaces headW rather than duplicating it, so the float32 resident
-	// bytes stay at exactly half the float64 view's.
+	// bytes stay at exactly half the float64 parameters'.
 	headWT []*nn.MatG[T]
+
+	// embVT holds each tied output projection embVw[i] transposed
+	// (EmbedDim × doms[i]) — set only on the float64 view of an AVX host,
+	// where it lets the logits run their lanes across the doms[i] outputs
+	// (nn.MatMulCols64). Its presence selects the AVX float64 kernels for
+	// the whole session (see InferSessionOf.Probs).
+	embVT []*nn.Mat
 }
 
 type servingBlock[T nn.Elem] struct {
@@ -41,12 +49,47 @@ type servingBlock[T nn.Elem] struct {
 	w2T *nn.MatG[T]
 }
 
-// weights64 builds the aliasing float64 view. The view shares storage with
-// the trainable parameters, so it tracks TrainStep updates with no copy; it
-// is rebuilt per session construction (a handful of slice headers) rather
-// than cached, because parameter Mats could in principle be re-pointed by a
-// future load path.
+// weights64 returns the float64 serving view: on hosts without the AVX
+// kernels the aliasing view (aliasWeights64), and on AVX hosts the model's
+// shared snapshot of it plus the derived embVT layout, rebuilt when training
+// has advanced the model version — the same staleness check as weights32.
 func (m *Model) weights64() *servingWeights[float64] {
+	if !nn.AVX() {
+		return m.aliasWeights64()
+	}
+	if w := m.w64.Load(); w != nil && w.version == m.version {
+		return w
+	}
+	w := m.aliasWeights64()
+	for i, d := range m.doms {
+		t := nn.NewMat(m.cfg.EmbedDim, d)
+		nn.TransposeInto(t, m.embViews[i])
+		w.embVT = append(w.embVT, t)
+	}
+	m.w64.Store(w)
+	return w
+}
+
+// DerivedBytes64 reports the resident bytes of the float64 serving view's
+// derived layouts (the transposed output projections of AVX hosts): zero
+// when the AVX kernels are off.
+func (m *Model) DerivedBytes64() int {
+	if !nn.AVX() {
+		return 0
+	}
+	n := 0
+	for _, d := range m.doms {
+		n += d * m.cfg.EmbedDim * 8
+	}
+	return n
+}
+
+// aliasWeights64 builds the aliasing float64 view. The view shares storage
+// with the trainable parameters, so it tracks TrainStep updates with no
+// copy; it is rebuilt per session construction (a handful of slice headers)
+// rather than cached, because parameter Mats could in principle be
+// re-pointed by a future load path.
+func (m *Model) aliasWeights64() *servingWeights[float64] {
 	w := &servingWeights[float64]{
 		m:       m,
 		version: m.version,
@@ -129,6 +172,12 @@ func (w *servingWeights[T]) addEmbProjFrom(dst []T, c int, id int32, sign T, fro
 			}
 			nn.Axpy32(v, inW.Row(base + j)[from:], s32)
 		}
+		return
+	}
+	if w.embVT != nil {
+		// AVX float64 view: the same j-outer axpy sequence on 4-wide lanes.
+		nn.EmbedAxpy64(any(sub).([]float64), any(w.inW).(*nn.Mat), base, from,
+			any(emb).([]float64), any(sign).(float64))
 		return
 	}
 	for j, ev := range emb {

@@ -39,6 +39,20 @@
 // BiasGradAdd, CrossEntropy, CrossEntropyInPlace) are float64-only:
 // training never runs at reduced precision.
 //
+// # AVX float64 serving kernels
+//
+// The float64 inference session has its own entry points in serve64.go:
+// MatMulCols64 (trunk extension, head projection, and logits over a
+// transposed embedding) and EmbedAxpy64 (the SetToken delta). An assembly CPUID + XGETBV check (cpuAVX2) sets useAVX once at
+// package init when the CPU has AVX2 and the OS saves YMM state; each entry
+// point then runs gemm64 or embAxpy64 from simd_amd64.s, and otherwise its
+// scalar chunk. The AVX kernels put four float64 lanes across output
+// elements, never along a reduction, and multiply and add with separate
+// VMULPD/VADDPD (no FMA), so every element keeps the scalar operation
+// sequence and the results are bit-identical to the scalar kernels for
+// finite weights — the float64 contract is unchanged. Training does not
+// call them. Tests flip useAVX to compare both paths in one process.
+//
 // # Kernel structure
 //
 // Kernels are written as a thin dispatch over named chunk functions: the

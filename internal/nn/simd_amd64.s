@@ -151,3 +151,317 @@ dot_scalar:
 dot_done:
 	MOVSS X0, ret+48(FP)
 	RET
+
+// ---- AVX float64 serving kernels ----
+//
+// Four float64 lanes per YMM register, products and sums as separate
+// VMULPD/VADDPD (never FMA, which rounds once per multiply-add), every
+// kernel vectorized across output elements and never along a reduction.
+// Each output element therefore sees exactly the scalar sequence: start at
+// +0 (or at its current value, for embAxpy64), then one rounded multiply and
+// one rounded add per reduction step in ascending order. Every kernel ends
+// with VZEROUPPER so SSE code that follows pays no transition penalty. The
+// Go side runs them only when cpuAVX2 reported true at package init.
+
+// laneMask<>: sixteen all-ones quadwords then sixteen zero quadwords.
+// Loading lanes at byte offset 8·(16-width) yields a mask whose first
+// width lanes (width ≤ 16) are set: the column-tail mask of VMASKMOVPD.
+DATA laneMask<>+0x00(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x08(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x10(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x18(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x20(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x28(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x30(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x38(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x40(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x48(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x50(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x58(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x60(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x68(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x70(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x78(SB)/8, $0xffffffffffffffff
+DATA laneMask<>+0x80(SB)/8, $0
+DATA laneMask<>+0x88(SB)/8, $0
+DATA laneMask<>+0x90(SB)/8, $0
+DATA laneMask<>+0x98(SB)/8, $0
+DATA laneMask<>+0xa0(SB)/8, $0
+DATA laneMask<>+0xa8(SB)/8, $0
+DATA laneMask<>+0xb0(SB)/8, $0
+DATA laneMask<>+0xb8(SB)/8, $0
+DATA laneMask<>+0xc0(SB)/8, $0
+DATA laneMask<>+0xc8(SB)/8, $0
+DATA laneMask<>+0xd0(SB)/8, $0
+DATA laneMask<>+0xd8(SB)/8, $0
+DATA laneMask<>+0xe0(SB)/8, $0
+DATA laneMask<>+0xe8(SB)/8, $0
+DATA laneMask<>+0xf0(SB)/8, $0
+DATA laneMask<>+0xf8(SB)/8, $0
+GLOBL laneMask<>(SB), RODATA|NOPTR, $256
+
+// func cpuAVX2() bool
+// Reports AVX2 support with YMM state enabled by the OS: CPUID leaf 1
+// (OSXSAVE, AVX), XCR0 bits 1-2 (XMM and YMM state), CPUID leaf 7 (AVX2).
+TEXT ·cpuAVX2(SB), NOSPLIT, $0-1
+	XORL  AX, AX
+	CPUID
+	CMPL  AX, $7
+	JLT   no_avx2
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x18000000, CX
+	CMPL  CX, $0x18000000
+	JNE   no_avx2
+	XORL  CX, CX
+	XGETBV
+	ANDL  $6, AX
+	CMPL  AX, $6
+	JNE   no_avx2
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x20, BX
+	JZ    no_avx2
+	MOVB  $1, ret+0(FP)
+	RET
+
+no_avx2:
+	MOVB $0, ret+0(FP)
+	RET
+
+// ROWPTR sets reg to the address of row min(R8+off, R13) of a matrix with
+// base and row stride (elements) given as frame arguments. R8 is the first
+// row of the current 4-row block and R13 the last row: rows past the end of
+// a partial block alias the last row, so their lanes compute (and store)
+// exactly that row's values.
+#define ROWPTR(off, base, stride, reg) \
+	LEAQ    off(R8), reg; \
+	CMPQ    reg, R13; \
+	CMOVQGT R13, reg; \
+	IMULQ   stride, reg; \
+	SHLQ    $3, reg; \
+	ADDQ    base, reg
+
+// STEP8 accumulates one reduction step of one row into an 8-column block:
+// ACC0/ACC1 += bcast(a[row][kk]) * b[kk][c:c+8] (b already in Y8, Y9).
+#define STEP8(arow, ACC0, ACC1) \
+	VBROADCASTSD (arow)(AX*8), Y10; \
+	VMULPD       Y8, Y10, Y11; \
+	VMULPD       Y9, Y10, Y12; \
+	VADDPD       Y11, ACC0, ACC0; \
+	VADDPD       Y12, ACC1, ACC1
+
+// STEP4 is STEP8 for a block of at most 4 columns (b in Y8).
+#define STEP4(arow, ACC) \
+	VBROADCASTSD (arow)(AX*8), Y10; \
+	VMULPD       Y8, Y10, Y11; \
+	VADDPD       Y11, ACC, ACC
+
+// DSTPTR sets R12 to the address of column R9 of row min(R8+off, R13) of
+// dst (base and row stride as in ROWPTR).
+#define DSTPTR(off, base, stride) \
+	LEAQ    off(R8), R12; \
+	CMPQ    R12, R13; \
+	CMOVQGT R13, R12; \
+	IMULQ   stride, R12; \
+	ADDQ    R9, R12; \
+	SHLQ    $3, R12; \
+	ADDQ    base, R12
+
+// func gemm64(dst, a, b []float64, ds, as, bs, rows, k, n int)
+// dst[r*ds+c] = Σ_{kk<k} a[r*as+kk] · b[kk*bs+c] for r < rows, c < n,
+// each sum accumulated from +0 in ascending kk. Rows run in blocks of 4
+// (one accumulator set per row), columns in lane blocks of 8, or of 4 for a
+// final block of at most 4 columns; the column tail is masked on load and
+// store, so nothing outside the n columns of a row is read or written.
+// Caller guarantees the slices cover every row and column addressed.
+TEXT ·gemm64(SB), NOSPLIT, $0-120
+	MOVQ bs+88(FP), BX
+	SHLQ $3, BX               // b row stride in bytes
+	MOVQ k+104(FP), CX
+	MOVQ rows+96(FP), R13
+	DECQ R13                  // last row
+	XORQ R8, R8               // first row of the block
+
+gemm_rows:
+	CMPQ   R8, rows+96(FP)
+	JGE    gemm_done
+	ROWPTR(0, a_base+24(FP), as+80(FP), SI)
+	ROWPTR(1, a_base+24(FP), as+80(FP), DI)
+	ROWPTR(2, a_base+24(FP), as+80(FP), R10)
+	ROWPTR(3, a_base+24(FP), as+80(FP), R11)
+	XORQ   R9, R9             // first column of the block
+
+gemm_cols:
+	MOVQ    n+112(FP), R12
+	SUBQ    R9, R12           // columns left
+	JLE     gemm_next_rows
+	MOVQ    $8, AX
+	CMPQ    R12, AX
+	CMOVQGT AX, R12           // block width, at most 8
+	NEGQ    R12
+	LEAQ    laneMask<>(SB), AX
+	VMOVUPD 128(AX)(R12*8), Y14 // lanes < width set
+	VMOVUPD 160(AX)(R12*8), Y15
+	NEGQ    R12
+	MOVQ    b_base+48(FP), DX
+	LEAQ    (DX)(R9*8), DX    // &b[0][c]
+	XORQ    AX, AX            // kk
+	CMPQ    R12, $4
+	JLE     gemm_narrow
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+gemm_k8:
+	CMPQ       AX, CX
+	JGE        gemm_store8
+	VMASKMOVPD (DX), Y14, Y8
+	VMASKMOVPD 32(DX), Y15, Y9
+	STEP8(SI, Y0, Y1)
+	STEP8(DI, Y2, Y3)
+	STEP8(R10, Y4, Y5)
+	STEP8(R11, Y6, Y7)
+	ADDQ       BX, DX
+	INCQ       AX
+	JMP        gemm_k8
+
+gemm_store8:
+	DSTPTR(0, dst_base+0(FP), ds+72(FP))
+	VMASKMOVPD Y0, Y14, (R12)
+	VMASKMOVPD Y1, Y15, 32(R12)
+	DSTPTR(1, dst_base+0(FP), ds+72(FP))
+	VMASKMOVPD Y2, Y14, (R12)
+	VMASKMOVPD Y3, Y15, 32(R12)
+	DSTPTR(2, dst_base+0(FP), ds+72(FP))
+	VMASKMOVPD Y4, Y14, (R12)
+	VMASKMOVPD Y5, Y15, 32(R12)
+	DSTPTR(3, dst_base+0(FP), ds+72(FP))
+	VMASKMOVPD Y6, Y14, (R12)
+	VMASKMOVPD Y7, Y15, 32(R12)
+	ADDQ       $8, R9
+	JMP        gemm_cols
+
+gemm_narrow:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+gemm_k4:
+	CMPQ       AX, CX
+	JGE        gemm_store4
+	VMASKMOVPD (DX), Y14, Y8
+	STEP4(SI, Y0)
+	STEP4(DI, Y1)
+	STEP4(R10, Y2)
+	STEP4(R11, Y3)
+	ADDQ       BX, DX
+	INCQ       AX
+	JMP        gemm_k4
+
+gemm_store4:
+	DSTPTR(0, dst_base+0(FP), ds+72(FP))
+	VMASKMOVPD Y0, Y14, (R12)
+	DSTPTR(1, dst_base+0(FP), ds+72(FP))
+	VMASKMOVPD Y1, Y14, (R12)
+	DSTPTR(2, dst_base+0(FP), ds+72(FP))
+	VMASKMOVPD Y2, Y14, (R12)
+	DSTPTR(3, dst_base+0(FP), ds+72(FP))
+	VMASKMOVPD Y3, Y14, (R12)
+
+gemm_next_rows:
+	ADDQ $4, R8
+	JMP  gemm_rows
+
+gemm_done:
+	VZEROUPPER
+	RET
+
+// func embAxpy64(y, w, emb []float64, sign float64, ws, n int)
+// For j < len(emb) in ascending order, with v = emb[j]*sign and v != 0:
+// y[c] += v * w[j*ws+c] for c < n. The y slice is processed in column
+// blocks of 16 held in Y0-Y3 across all j, the block tail masked on load
+// and store. Per element this is exactly the scalar j-outer loop.
+TEXT ·embAxpy64(SB), NOSPLIT, $0-96
+	MOVQ  y_base+0(FP), DI
+	MOVQ  w_base+24(FP), SI
+	MOVQ  emb_base+48(FP), R8
+	MOVQ  emb_len+56(FP), CX
+	VMOVSD sign+72(FP), X6
+	MOVQ  ws+80(FP), BX
+	SHLQ  $3, BX               // w row stride in bytes
+	MOVQ  n+88(FP), DX
+	LEAQ  laneMask<>(SB), R11
+	VXORPD X7, X7, X7          // +0 for the v == 0 test
+
+emb_cols:
+	CMPQ    DX, $0
+	JLE     emb_done
+	MOVQ    DX, R12
+	MOVQ    $16, AX
+	CMPQ    R12, AX
+	CMOVQGT AX, R12            // block width, at most 16
+	NEGQ    R12
+	VMOVUPD 128(R11)(R12*8), Y12
+	VMOVUPD 160(R11)(R12*8), Y13
+	VMOVUPD 192(R11)(R12*8), Y14
+	VMOVUPD 224(R11)(R12*8), Y15
+	NEGQ    R12
+	VMASKMOVPD (DI), Y12, Y0
+	VMASKMOVPD 32(DI), Y13, Y1
+	VMASKMOVPD 64(DI), Y14, Y2
+	VMASKMOVPD 96(DI), Y15, Y3
+	MOVQ    SI, R10            // &w[j][c]
+	XORQ    AX, AX             // j
+
+emb_rows:
+	CMPQ       AX, CX
+	JGE        emb_store
+	VMULSD     (R8)(AX*8), X6, X4 // v = emb[j] * sign
+	VUCOMISD   X7, X4
+	JNE        emb_row
+	JPS        emb_row            // NaN: not zero, keep
+	JMP        emb_next
+
+emb_row:
+	VBROADCASTSD X4, Y4
+	VMASKMOVPD   (R10), Y12, Y5
+	VMASKMOVPD   32(R10), Y13, Y8
+	VMASKMOVPD   64(R10), Y14, Y9
+	VMASKMOVPD   96(R10), Y15, Y10
+	VMULPD       Y5, Y4, Y5
+	VMULPD       Y8, Y4, Y8
+	VMULPD       Y9, Y4, Y9
+	VMULPD       Y10, Y4, Y10
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y8, Y1, Y1
+	VADDPD       Y9, Y2, Y2
+	VADDPD       Y10, Y3, Y3
+
+emb_next:
+	ADDQ BX, R10
+	INCQ AX
+	JMP  emb_rows
+
+emb_store:
+	VMASKMOVPD Y0, Y12, (DI)
+	VMASKMOVPD Y1, Y13, 32(DI)
+	VMASKMOVPD Y2, Y14, 64(DI)
+	VMASKMOVPD Y3, Y15, 96(DI)
+	ADDQ       $128, DI
+	ADDQ       $128, SI
+	SUBQ       R12, DX
+	JMP        emb_cols
+
+emb_done:
+	VZEROUPPER
+	RET

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -16,6 +17,7 @@ import (
 	"neurocard/internal/core"
 	"neurocard/internal/query"
 	"neurocard/internal/schema"
+	"neurocard/internal/shard"
 	"neurocard/internal/table"
 	"neurocard/internal/value"
 )
@@ -397,5 +399,48 @@ func TestCoalesceUnloadBeforeFlushIs404(t *testing.T) {
 	}
 	if got := estimateStatus(err); got != http.StatusNotFound {
 		t.Fatalf("status %d for %v, want 404", got, err)
+	}
+}
+
+// TestCoalesceShardUnloadBeforeFlushIs503 is the logical-model twin of
+// TestCoalesceUnloadBeforeFlushIs404: a single-query estimate whose shard is
+// unloaded while its sub-query waits in the shard's coalescer must answer
+// 503 (errShardMissing), as the batch path does — the logical model and the
+// query are fine, the fleet is impaired.
+func TestCoalesceShardUnloadBeforeFlushIs503(t *testing.T) {
+	clock := newFakeClock()
+	srv := New(Config{ModelsDir: t.TempDir(), FuseWindow: time.Hour, Clock: clock})
+	defer srv.Close()
+	est := coalesceEstimator(t, 7, 256)
+	man, err := shard.Build(est.Schema(), "fleet", [][]string{{"A", "B", "C"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.reg.Install("fleet-s0", "mem", est); err != nil {
+		t.Fatal(err)
+	}
+	lg, err := srv.reg.InstallLogical("fleet", "mem", man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(3)
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := srv.estimateLogical(context.Background(), lg, query.Query{Tables: []string{"A"}}, &seed)
+		errc <- err
+	}()
+	<-clock.afterCalled
+	f := srv.fuserFor("fleet-s0")
+	waitFor(t, "sub-query collected", func() bool { return f.collected.Load() == 1 })
+	if err := srv.reg.Unload("fleet-s0"); err != nil {
+		t.Fatal(err)
+	}
+	clock.fire()
+	err = <-errc
+	if !errors.Is(err, errShardMissing) {
+		t.Fatalf("estimate with its shard unloaded: %v, want errShardMissing", err)
+	}
+	if got := estimateStatus(err); got != http.StatusServiceUnavailable {
+		t.Fatalf("status %d for %v, want 503", got, err)
 	}
 }

@@ -220,6 +220,11 @@ func (s *Server) estimateLogical(ctx context.Context, lg *Logical, q query.Query
 			return 0, false, fmt.Errorf("shard %q: %w", sub.Shard, errShardMissing)
 		}
 		v, d, serr := s.estimateSingle(ctx, entry, sub.Shard, sub.Query, seed)
+		if errors.Is(serr, errNotLoaded) {
+			// The shard was unloaded between Get and the coalescer flush:
+			// the same missing-shard 503 as the batch path, not a 404.
+			serr = errShardMissing
+		}
 		if serr != nil {
 			return 0, false, fmt.Errorf("shard %q: %w", sub.Shard, serr)
 		}
