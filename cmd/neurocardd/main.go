@@ -99,7 +99,6 @@ func main() {
 	fuseBatch := flag.Int("fuse-batch", 0, "max single-query requests fused per coalesced flush (0 = default 64)")
 	fuseWindow := flag.Duration("fuse-window", 0, "max latency budget the coalescer holds a batch open; adaptive, decays when idle (0 = default 1.5ms, negative disables the window)")
 	fuseQueue := flag.Int("fuse-queue", 0, "pending coalesced requests per model before 429 backpressure (0 = default 1024)")
-	noCoalesce := flag.Bool("no-coalesce", false, "serve single-query requests inline instead of coalescing them")
 	sloP99 := flag.Duration("slo-p99", 0, "p99 request-latency SLO target exported on /metrics (0 = default 25ms)")
 	pprofAddr := flag.String("pprof", "", "listen address for net/http/pprof (e.g. localhost:6060); empty disables")
 	requestTimeout := flag.Duration("request-timeout", 0, "end-to-end budget per estimate request; expiry answers 504 (0 = unbounded)")
@@ -160,7 +159,6 @@ func main() {
 		FuseMaxBatch:      *fuseBatch,
 		FuseWindow:        *fuseWindow,
 		FuseQueue:         *fuseQueue,
-		NoCoalesce:        *noCoalesce,
 		SLOLatencyP99:     *sloP99,
 		RequestTimeout:    *requestTimeout,
 		BreakerWindow:     *breakerWindow,

@@ -30,8 +30,8 @@ import (
 //
 // Everything lives in one gob stream after the magic, so decode errors carry
 // positions and truncated files fail cleanly. Weights are stored at full
-// float64 precision — unlike the legacy model-only Save — because the format
-// guarantees a restored estimator's estimates are bit-identical to the
+// float64 precision — not the paper's float32 size accounting — because the
+// format guarantees a restored estimator's estimates are bit-identical to the
 // original's at a fixed seed.
 const (
 	checkpointMagic = "NCRDCKPT"

@@ -688,33 +688,10 @@ func (e *Estimator) EstimateItems(items []BatchItem, workers int) ([]float64, []
 }
 
 // EstimateSeededIndexed runs one estimate whose randomness derives from the
-// caller's (seed, idx) pair — the single-query seeded serving path.
+// caller's (seed, idx) pair — the value a seeded serving request reproduces
+// whether it runs alone or fused into a batch.
 func (e *Estimator) EstimateSeededIndexed(q query.Query, seed, idx int64) (float64, error) {
 	st := e.eng.acquire(e.psamples(), false)
 	defer st.release()
 	return st.estimateSeeded(context.Background(), q, seed, idx)
-}
-
-// EstimateSeededIndexedCtx is EstimateSeededIndexed bounded by ctx and
-// hardened for serving: deadline expiry mid-sampling returns ctx.Err(), and
-// a panic inside the estimate is recovered into an ErrEstimatePanic error
-// (the session it poisoned is discarded rather than pooled).
-func (e *Estimator) EstimateSeededIndexedCtx(ctx context.Context, q query.Query, seed, idx int64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	st := e.eng.acquire(e.psamples(), false)
-	est, err, panicked := st.estimateSafe(ctx, q, seed, idx)
-	if panicked {
-		st.discard()
-	} else {
-		st.release()
-	}
-	return est, err
-}
-
-// EstimateCtx is Estimate bounded by ctx with the same panic hardening as
-// EstimateSeededIndexedCtx — the serving daemon's unseeded single-query path.
-func (e *Estimator) EstimateCtx(ctx context.Context, q query.Query) (float64, error) {
-	return e.EstimateSeededIndexedCtx(ctx, q, e.cfg.Seed, e.qcount.Add(1))
 }

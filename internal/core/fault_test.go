@@ -13,6 +13,14 @@ import (
 	"neurocard/internal/query"
 )
 
+// estimateOne runs one query at (seed, idx) under ctx as a one-item batch on
+// a single worker, which takes the same non-serial pooled session as the
+// Estimate entry points.
+func estimateOne(ctx context.Context, est *core.Estimator, q query.Query, seed, idx int64) (float64, error) {
+	ests, errs := est.EstimateItems([]core.BatchItem{{Query: q, Seed: seed, Idx: idx, Ctx: ctx}}, 1)
+	return ests[0], errs[0]
+}
+
 // TestDeadlineCancelsMidSampling: a context that expires while progressive
 // sampling is between columns must stop the estimate with the context's
 // error, and an already-expired context must fail before sampling starts.
@@ -23,7 +31,7 @@ func TestDeadlineCancelsMidSampling(t *testing.T) {
 	// Already cancelled: fails up front.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := est.EstimateSeededIndexedCtx(cancelled, q, 1, 1); !errors.Is(err, context.Canceled) {
+	if _, err := estimateOne(cancelled, est, q, 1, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
 
@@ -34,7 +42,7 @@ func TestDeadlineCancelsMidSampling(t *testing.T) {
 	ctx, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	_, err := est.EstimateSeededIndexedCtx(ctx, q, 1, 2)
+	_, err := estimateOne(ctx, est, q, 1, 2)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline ctx: err = %v, want context.DeadlineExceeded", err)
 	}
@@ -46,7 +54,7 @@ func TestDeadlineCancelsMidSampling(t *testing.T) {
 	faultinject.Disarm()
 
 	// The estimator still serves normally afterwards.
-	if _, err := est.EstimateSeededIndexedCtx(context.Background(), q, 1, 3); err != nil {
+	if _, err := estimateOne(context.Background(), est, q, 1, 3); err != nil {
 		t.Fatalf("estimate after deadline failures: %v", err)
 	}
 
@@ -88,13 +96,13 @@ func TestEstimatePanicPositional(t *testing.T) {
 			t.Fatalf("item %d err = %v, want ErrEstimatePanic", i, err)
 		}
 	}
-	if _, err := est.EstimateSeededIndexedCtx(context.Background(), q, 1, 4); !errors.Is(err, core.ErrEstimatePanic) {
+	if _, err := estimateOne(context.Background(), est, q, 1, 4); !errors.Is(err, core.ErrEstimatePanic) {
 		t.Fatalf("single-path err = %v, want ErrEstimatePanic", err)
 	}
 	faultinject.Disarm()
 
 	// Recovery: fresh sessions, correct results, unchanged determinism.
-	want, err := est.EstimateSeededIndexedCtx(context.Background(), q, 9, 9)
+	want, err := estimateOne(context.Background(), est, q, 9, 9)
 	if err != nil {
 		t.Fatalf("estimate after panics: %v", err)
 	}

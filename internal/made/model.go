@@ -275,8 +275,8 @@ func (m *Model) NumParams() int {
 	return total
 }
 
-// Bytes reports the serialized model size (float32 weights, the paper's
-// accounting).
+// Bytes reports the model size at float32 weights, the paper's size
+// accounting.
 func (m *Model) Bytes() int { return m.NumParams() * 4 }
 
 // SamplesSeen returns the number of training tuples consumed so far.

@@ -1,7 +1,6 @@
 package made
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -272,48 +271,6 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 	if m.SamplesSeen() != 64*201 {
 		t.Errorf("SamplesSeen = %d", m.SamplesSeen())
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	doms := []int{4, 6, 3}
-	m, err := New(tinyConfig(11), doms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for s := 0; s < 10; s++ {
-		m.TrainStep(randBatch(rng, doms, 16), 0.3)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() > 2*m.Bytes() {
-		t.Errorf("serialized size %d far exceeds reported %d", buf.Len(), m.Bytes())
-	}
-	m2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.NumParams() != m.NumParams() {
-		t.Fatalf("params %d vs %d", m2.NumParams(), m.NumParams())
-	}
-	batch := randBatch(rng, doms, 6)
-	for col := range doms {
-		a := nn.NewMat(len(batch), doms[col])
-		b := nn.NewMat(len(batch), doms[col])
-		m.Conditional(batch, col, a)
-		m2.Conditional(batch, col, b)
-		for i := range a.Data {
-			if math.Abs(a.Data[i]-b.Data[i]) > 1e-5 {
-				t.Fatalf("col %d: loaded model diverges: %v vs %v", col, a.Data[i], b.Data[i])
-			}
-		}
-	}
-	// Loaded model supports incremental training.
-	if loss := m2.TrainStep(randBatch(rng, doms, 8), 0); math.IsNaN(loss) {
-		t.Error("TrainStep on loaded model returned NaN")
 	}
 }
 

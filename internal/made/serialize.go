@@ -3,16 +3,9 @@ package made
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 
 	"neurocard/internal/nn"
 )
-
-// modelHeader is the serialized preamble.
-type modelHeader struct {
-	Config Config
-	Doms   []int
-}
 
 // wireVersion identifies the full-precision weight stream layout written by
 // EncodeInto. Bump on any change to the section order or element types.
@@ -27,70 +20,12 @@ type fullHeader struct {
 	SamplesSeen int
 }
 
-// Save serializes the model: configuration, column domains, and all weights
-// as float32 (the paper's size accounting; the precision loss is far below
-// estimation noise). Optimizer state is not saved — a loaded model serves
-// inference immediately and incremental training restarts Adam moments,
-// which matches the paper's fast-update procedure.
-func (m *Model) Save(w io.Writer) error {
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(modelHeader{Config: m.cfg, Doms: m.doms}); err != nil {
-		return fmt.Errorf("made: save header: %w", err)
-	}
-	for _, p := range m.params {
-		f32 := make([]float32, len(p.Val.Data))
-		for i, v := range p.Val.Data {
-			f32[i] = float32(v)
-		}
-		if err := enc.Encode(f32); err != nil {
-			return fmt.Errorf("made: save %s: %w", p.Name, err)
-		}
-	}
-	return nil
-}
-
-// Load reconstructs a model saved by Save.
-func Load(r io.Reader) (*Model, error) {
-	dec := gob.NewDecoder(r)
-	var hdr modelHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("made: load header: %w", err)
-	}
-	m, err := New(hdr.Config, hdr.Doms)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range m.params {
-		var f32 []float32
-		if err := dec.Decode(&f32); err != nil {
-			return nil, fmt.Errorf("made: load %s: %w", p.Name, err)
-		}
-		if len(f32) != len(p.Val.Data) {
-			return nil, fmt.Errorf("made: load %s: %d values, want %d", p.Name, len(f32), len(p.Val.Data))
-		}
-		for i, v := range f32 {
-			p.Val.Data[i] = float64(v)
-		}
-	}
-	// Re-apply the autoregressive masks: the serialized format carries no
-	// degree-layout version, so checkpoints written under a different hidden
-	// degree assignment (or with noise in masked slots) are coerced onto this
-	// build's masks. InferSession's prefix-restricted trunk passes rely on
-	// masked weights being exactly zero.
-	nn.Hadamard(m.inW.Val, m.inW.Val, m.inMask)
-	for _, blk := range m.blocks {
-		nn.Hadamard(blk.w1.Val, blk.w1.Val, m.hhMask)
-		nn.Hadamard(blk.w2.Val, blk.w2.Val, m.hhMask)
-	}
-	return m, nil
-}
-
 // EncodeInto writes the model — configuration, domains, and all weights at
 // full float64 precision — onto an existing gob stream. It is the model
-// section of estimator checkpoints (core.SaveCheckpoint): unlike Save's
-// float32 accounting, the full-precision stream restores a model whose
-// estimates are bit-identical to the original's, which is what makes
-// checkpoint round-trip equivalence testable to 1e-9.
+// section of estimator checkpoints (core.SaveCheckpoint): the full-precision
+// stream restores a model whose estimates are bit-identical to the
+// original's, which is what makes checkpoint round-trip equivalence testable
+// to 1e-9.
 func (m *Model) EncodeInto(enc *gob.Encoder) error {
 	hdr := fullHeader{
 		WireVersion: wireVersion,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -260,12 +259,7 @@ func (f *fuser) flush(batch []*pendingEstimate, items []core.BatchItem) {
 		return
 	}
 	for i, p := range batch {
-		res := fuseResult{est: ests[i], err: errs[i]}
-		if res.err == nil && (math.IsNaN(res.est) || math.IsInf(res.est, 0) || res.est <= 0) {
-			res.err = fmt.Errorf("%w %g", errNonFinite, res.est)
-			m.nonfiniteTotal.Add(1)
-		}
-		p.done <- res
+		p.done <- fuseResult{est: ests[i], err: errs[i]}
 	}
 }
 

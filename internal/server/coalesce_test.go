@@ -426,8 +426,10 @@ func TestCoalesceShardUnloadBeforeFlushIs503(t *testing.T) {
 	seed := int64(3)
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := srv.estimateLogical(context.Background(), lg, query.Query{Tables: []string{"A"}}, &seed)
-		errc <- err
+		out := make([]outcome, 1)
+		srv.composeLogical(context.Background(), lg, &estimateRequest{
+			seed: &seed, single: true, queries: []query.Query{{Tables: []string{"A"}}}}, out)
+		errc <- out[0].err
 	}()
 	<-clock.afterCalled
 	f := srv.fuserFor("fleet-s0")

@@ -7,11 +7,13 @@
 //
 // Concurrent single-query requests coalesce into batched estimates through
 // a per-model fuser (DESIGN.md §2.5); the same endpoint speaks a compact
-// binary protocol. Requests carry deadlines end to end, a per-model circuit
-// breaker routes repeated model failures to a histogram fallback estimator,
-// and panics are contained per request (DESIGN.md §2.6). Coalescing and the
-// wire format never change results: each query keeps its own (seed, index)
-// randomness.
+// binary protocol. Every estimate — single or batch, monolithic or logical —
+// runs through one fault ladder (Server.ladder, DESIGN.md §2.6): requests
+// carry deadlines end to end, a per-model circuit breaker routes repeated
+// model failures to a histogram fallback estimator, non-finite estimates
+// never leave the process, and panics are contained per query. Coalescing
+// and the wire format never change results: each query keeps its own
+// (seed, index) randomness.
 //
 // # Models and precision
 //

@@ -270,7 +270,6 @@ func aggressiveBreaker() server.Config {
 		BreakerMinSamples: 4,
 		BreakerThreshold:  0.5,
 		BreakerCooldown:   time.Hour,
-		NoCoalesce:        true, // inline estimates: each request records exactly once
 	}
 }
 
@@ -387,6 +386,9 @@ func TestBreakerOpenWithoutFallbackIs503(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "circuit open") {
 		t.Fatalf("503 body = %s", body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Fatal("open-breaker 503 without Retry-After header")
 	}
 }
 

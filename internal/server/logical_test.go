@@ -480,6 +480,9 @@ func TestLogicalShardBreakerNoFallback(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("crossing estimate with open s0: %d %s, want 503", resp.StatusCode, body)
 	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Fatal("open-breaker 503 without Retry-After header")
+	}
 	resp, body = post(t, ts.URL+"/v1/estimate", server.EstimateRequest{Model: "fleet", Query: &s1OnlyQ, Seed: &seed})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("s1 estimate with open s0: %d %s, want 200", resp.StatusCode, body)

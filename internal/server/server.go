@@ -48,11 +48,6 @@ type Config struct {
 	// answers 429 + Retry-After (default 1024).
 	FuseQueue int
 
-	// NoCoalesce serves single-query requests inline on their handler
-	// goroutine instead of fusing them — the pre-coalescer behavior, kept
-	// for A/B measurement and as an operational escape hatch.
-	NoCoalesce bool
-
 	// RequestTimeout bounds each estimate request end to end, including
 	// coalescer queueing and sampling (0 = unbounded). Clients may tighten —
 	// never loosen — their own budget with an X-Deadline-Ms header; expiry
@@ -309,10 +304,33 @@ type errorResponse struct {
 
 // ---- handlers ----
 
+// estimateRequest is a decoded estimate request, whichever wire form it came
+// in. single marks the single-query forms (a JSON "query", or an NCB frame
+// carrying one query): they run through the coalescer and answer one
+// estimate or one error status.
+type estimateRequest struct {
+	model   string
+	seed    *int64
+	workers int
+	single  bool
+	queries []query.Query
+}
+
+// outcome is one estimate after the fault ladder. degraded marks an estimate
+// served by the fallback estimator.
+type outcome struct {
+	est      float64
+	err      error
+	degraded bool
+}
+
+// handleEstimate serves POST /v1/estimate in four steps: decode the request
+// (JSON or NCB), resolve its model, run every query through the fault
+// ladder, and encode the outcomes in the request's wire form. A monolithic
+// model is one ladder group; a logical model is planned into one group per
+// shard (composeLogical).
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	done := s.metrics.requestStart()
-	bin := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary)
-
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -323,186 +341,218 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	var (
-		model   string
-		seed    *int64
-		workers int
-		single  bool
-		queries []query.Query
-		buf     *[]byte // binary scratch: holds the body, then the reply
-	)
-	if bin {
+	var buf *[]byte // binary scratch: holds the body, then the reply
+	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary) {
 		s.metrics.binaryTotal.Add(1)
 		buf = wireBufPool.Get().(*[]byte)
 		defer func() {
 			*buf = (*buf)[:0]
 			wireBufPool.Put(buf)
 		}()
-		body, err := s.readBinBody(w, r, (*buf)[:0])
-		*buf = body
-		var breq BinRequest
-		if err == nil {
-			breq, err = DecodeBinRequest(body)
-		}
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			done(0, true)
-			return
-		}
-		model, seed, queries = breq.Model, breq.Seed, breq.Queries
-		single = len(queries) == 1
-	} else {
-		var req EstimateRequest
-		if err := s.decodeBody(w, r, &req); err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			done(0, true)
-			return
-		}
-		single = req.Query != nil
-		if single == (len(req.Queries) > 0) {
-			s.fail(w, http.StatusBadRequest, errors.New("exactly one of \"query\" or \"queries\" must be set"))
-			done(0, true)
-			return
-		}
-		qs := req.Queries
-		if single {
-			qs = []QueryJSON{*req.Query}
-		}
-		queries = make([]query.Query, len(qs))
-		for i := range qs {
-			q, err := DecodeQuery(qs[i])
-			if err != nil {
-				s.fail(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-				done(0, true)
-				return
-			}
-			queries[i] = q
-		}
-		model, seed, workers = req.Model, req.Seed, req.Workers
 	}
-	if len(queries) > s.cfg.MaxBatch {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("batch of %d queries exceeds limit %d", len(queries), s.cfg.MaxBatch))
-		done(0, true)
-		return
-	}
-	if lg := s.reg.GetLogical(model); lg != nil {
-		s.serveLogical(ctx, w, lg, queries, seed, workers, single, bin, buf, done)
-		return
-	}
-	entry, err := s.reg.Get(model)
+	req, err := s.decodeEstimate(w, r, buf)
 	if err != nil {
-		s.fail(w, http.StatusNotFound, err)
+		s.fail(w, http.StatusBadRequest, err)
 		done(0, true)
 		return
 	}
 
 	start := time.Now()
-	if single {
-		est, degraded, err := s.estimateSingle(ctx, entry, model, queries[0], seed)
-		if err != nil {
-			status := estimateStatus(err)
-			if status == http.StatusTooManyRequests {
-				w.Header().Set("Retry-After", "1")
-			}
-			if status == http.StatusGatewayTimeout {
-				s.metrics.timeoutsTotal.Add(1)
-			}
-			s.fail(w, status, err)
-			done(0, true)
-			return
-		}
-		if degraded {
-			s.metrics.fallbackTotal.Add(1)
-		}
-		if bin {
-			s.replyBin(w, buf, entry.Name, []float64{est}, nil, degraded)
-		} else {
-			s.reply(w, http.StatusOK, EstimateResponse{
-				Model:    entry.Name,
-				Est:      &est,
-				Degraded: degraded,
-				Count:    1,
-				Micros:   time.Since(start).Microseconds(),
-			})
-		}
-		done(1, false)
-		return
+	var one [1]outcome // a single request's outcome, without a heap allocation
+	out := one[:]
+	if !req.single {
+		out = make([]outcome, len(req.queries))
 	}
-
-	// Batch: one registry resolution, one EstimateItems run over pooled
-	// sessions (each worker holds one session across its queries), and
-	// per-query positional errors — a bad query no longer poisons its
-	// batchmates. Seeded batches reproduce EstimateBatchSeeded exactly:
-	// query i draws from (seed, i); unseeded from (config seed, i).
-	//
-	// Degradation is whole-request: an open breaker answers the entire batch
-	// from the fallback estimator with Degraded set; a closed breaker runs
-	// the model and feeds every item's outcome back into the window.
-	br := entry.Breaker
-	degraded := false
-	var ests []float64
-	var errs []error
-	if br != nil && !br.allow() {
-		if entry.Fallback == nil {
-			s.fail(w, http.StatusServiceUnavailable, errBreakerOpen)
-			done(0, true)
-			return
-		}
-		degraded = true
-		ests = make([]float64, len(queries))
-		errs = make([]error, len(queries))
-		for i, q := range queries {
-			ests[i], errs[i] = s.fallbackEstimate(entry, q)
-		}
+	var name string
+	if lg := s.reg.GetLogical(req.model); lg != nil {
+		name = lg.Name
+		s.composeLogical(ctx, lg, &req, out)
 	} else {
-		base := entry.Est.Config().Seed
-		if seed != nil {
-			base = *seed
+		entry, err := s.reg.Get(req.model)
+		if err != nil {
+			s.fail(w, http.StatusNotFound, err)
+			done(0, true)
+			return
 		}
-		items := make([]core.BatchItem, len(queries))
-		for i, q := range queries {
-			items[i] = core.BatchItem{Query: q, Seed: base, Idx: int64(i), Ctx: ctx}
-		}
-		ests, errs = entry.Est.EstimateItems(items, s.estimateWorkers(workers, len(items)))
+		name = entry.Name
+		s.ladder(ctx, entry, req.model, &req, req.queries, nil, out)
 	}
-	var errStrings []string
-	nOK := 0
-	for i, est := range ests {
-		qerr := errs[i]
-		if qerr == nil && !finitePositive(est) {
-			qerr = fmt.Errorf("%w %g", errNonFinite, est)
-			s.metrics.nonfiniteTotal.Add(1)
+	s.encodeEstimate(w, buf, name, req.single, out, start, done)
+}
+
+// decodeEstimate reads and validates an estimate request body: an NCB frame
+// when buf (the pooled binary scratch) is non-nil, JSON otherwise.
+func (s *Server) decodeEstimate(w http.ResponseWriter, r *http.Request, buf *[]byte) (estimateRequest, error) {
+	var req estimateRequest
+	if buf != nil {
+		body, err := s.readBinBody(w, r, (*buf)[:0])
+		*buf = body
+		if err != nil {
+			return req, err
 		}
-		if !degraded {
-			if errors.Is(qerr, context.DeadlineExceeded) {
-				s.metrics.timeoutsTotal.Add(1)
+		breq, err := DecodeBinRequest(body)
+		if err != nil {
+			return req, err
+		}
+		req = estimateRequest{model: breq.Model, seed: breq.Seed, single: len(breq.Queries) == 1, queries: breq.Queries}
+	} else {
+		var jreq EstimateRequest
+		if err := s.decodeBody(w, r, &jreq); err != nil {
+			return req, err
+		}
+		single := jreq.Query != nil
+		if single == (len(jreq.Queries) > 0) {
+			return req, errors.New("exactly one of \"query\" or \"queries\" must be set")
+		}
+		qs := jreq.Queries
+		if single {
+			qs = []QueryJSON{*jreq.Query}
+		}
+		req = estimateRequest{model: jreq.Model, seed: jreq.Seed, workers: jreq.Workers, single: single,
+			queries: make([]query.Query, len(qs))}
+		for i := range qs {
+			q, err := DecodeQuery(qs[i])
+			if err != nil {
+				return req, fmt.Errorf("query %d: %w", i, err)
+			}
+			req.queries[i] = q
+		}
+	}
+	if len(req.queries) > s.cfg.MaxBatch {
+		return req, fmt.Errorf("batch of %d queries exceeds limit %d", len(req.queries), s.cfg.MaxBatch)
+	}
+	return req, nil
+}
+
+// ladder runs one group of queries on one registry entry through the fault
+// ladder, writing query i's outcome to out[i]. It is the only place the
+// daemon consults a breaker or a fallback:
+//
+//  1. breaker.allow, once for the group. Open with a fallback: every query
+//     is answered by the fallback (degraded). Open without one: every query
+//     fails with errBreakerOpen.
+//  2. The model. A single request goes through name's coalescer (seeded as
+//     (seed, 0), unseeded as a fresh Auto sample); a batch is one
+//     EstimateItems run with the request's workers, query i drawing from
+//     (seed, idx[i]), or (config seed, idx[i]) when unseeded. idx maps group
+//     positions to request positions; nil is the identity.
+//  3. Per query: the non-finite guard, then breaker.record (panics,
+//     non-finite estimates and deadline expiries are model faults; caller
+//     mistakes and backpressure are not), then masking: a model fault is
+//     replaced by the fallback estimate when one exists, except a deadline
+//     expiry, which answers 504 because the client's budget is spent.
+//
+// Metrics count per query: nonfinite_total per guarded estimate,
+// fallback_total per fallback-served estimate and request_timeouts_total
+// per error that maps to 504.
+func (s *Server) ladder(ctx context.Context, entry *Entry, name string, req *estimateRequest, qs []query.Query, idx []int, out []outcome) {
+	br := entry.Breaker
+	open := br != nil && !br.allow()
+	switch {
+	case open:
+		if entry.Fallback == nil {
+			for i := range out {
+				out[i].err = errBreakerOpen
+			}
+		}
+	case req.single:
+		for i, q := range qs {
+			out[i].est, out[i].err = s.coalesce(ctx, name, q, req.seed)
+		}
+	default:
+		base := entry.Est.Config().Seed
+		if req.seed != nil {
+			base = *req.seed
+		}
+		items := make([]core.BatchItem, len(qs))
+		for i, q := range qs {
+			qi := i
+			if idx != nil {
+				qi = idx[i]
+			}
+			items[i] = core.BatchItem{Query: q, Seed: base, Idx: int64(qi), Ctx: ctx}
+		}
+		ests, errs := entry.Est.EstimateItems(items, s.estimateWorkers(req.workers, len(items)))
+		for i := range out {
+			out[i].est, out[i].err = ests[i], errs[i]
+		}
+	}
+	for i := range out {
+		o := &out[i]
+		if !open {
+			if o.err == nil && !finitePositive(o.est) {
+				o.err = fmt.Errorf("%w %g", errNonFinite, o.est)
+				s.metrics.nonfiniteTotal.Add(1)
 			}
 			if br != nil {
-				if modelFault(qerr) {
+				if modelFault(o.err) {
 					br.record(true)
-				} else if qerr == nil {
+				} else if o.err == nil {
 					br.record(false)
 				}
 			}
 		}
-		if qerr != nil {
-			if errStrings == nil {
-				errStrings = make([]string, len(ests))
+		mask := open || modelFault(o.err) && !errors.Is(o.err, context.DeadlineExceeded)
+		if mask && entry.Fallback != nil {
+			if fb, ferr := s.fallbackEstimate(entry, qs[i]); ferr == nil {
+				o.est, o.err, o.degraded = fb, nil, true
+				s.metrics.fallbackTotal.Add(1)
+			} else if open {
+				o.err = ferr
 			}
-			errStrings[i] = qerr.Error()
-			ests[i] = 0
+		}
+		if o.err != nil && estimateStatus(o.err) == http.StatusGatewayTimeout {
+			s.metrics.timeoutsTotal.Add(1)
+		}
+	}
+}
+
+// encodeEstimate writes the outcomes in the request's wire form. A single
+// request answers its estimate, or its error's status (with Retry-After on
+// 429 and on the open-breaker 503). A batch answers 200 with positional
+// errors; Degraded is set when any estimate came from a fallback.
+func (s *Server) encodeEstimate(w http.ResponseWriter, buf *[]byte, name string, single bool, out []outcome,
+	start time.Time, done func(int, bool)) {
+	if single && out[0].err != nil {
+		err := out[0].err
+		status := estimateStatus(err)
+		if status == http.StatusTooManyRequests || errors.Is(err, errBreakerOpen) {
+			w.Header().Set("Retry-After", "1")
+		}
+		s.fail(w, status, err)
+		done(0, true)
+		return
+	}
+	ests := make([]float64, len(out))
+	var errStrings []string
+	degraded := false
+	nOK := 0
+	for i, o := range out {
+		degraded = degraded || o.degraded
+		if o.err != nil {
+			if errStrings == nil {
+				errStrings = make([]string, len(out))
+			}
+			errStrings[i] = o.err.Error()
 			continue
 		}
+		ests[i] = o.est
 		nOK++
 	}
-	if degraded {
-		s.metrics.fallbackTotal.Add(int64(nOK))
-	}
-	if bin {
-		s.replyBin(w, buf, entry.Name, ests, errStrings, degraded)
-	} else {
+	switch {
+	case buf != nil:
+		s.replyBin(w, buf, name, ests, errStrings, degraded)
+	case single:
 		s.reply(w, http.StatusOK, EstimateResponse{
-			Model:    entry.Name,
+			Model:    name,
+			Est:      &ests[0],
+			Degraded: degraded,
+			Count:    1,
+			Micros:   time.Since(start).Microseconds(),
+		})
+	default:
+		s.reply(w, http.StatusOK, EstimateResponse{
+			Model:    name,
 			Ests:     ests,
 			Errors:   errStrings,
 			Degraded: degraded,
@@ -533,57 +583,6 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	return ctx, cancel, nil
-}
-
-// estimateSingle serves one single-query estimate with the full
-// fault-tolerance ladder. An open breaker short-circuits to the fallback
-// estimator (degraded=true). Otherwise the model runs — through the
-// coalescer by default, inline under NoCoalesce; both paths yield identical
-// results for a seeded request ((seed, 0)) and independent samples for an
-// unseeded one — and its outcome feeds the breaker: panics, non-finite
-// estimates, and deadline expiries count as model faults, caller mistakes
-// and backpressure do not. A model fault other than a timeout (the client's
-// budget is spent; per the API contract expiry answers 504) is then masked
-// by the fallback when one exists.
-func (s *Server) estimateSingle(ctx context.Context, entry *Entry, model string, q query.Query, seed *int64) (est float64, degraded bool, err error) {
-	br := entry.Breaker
-	if br != nil && !br.allow() {
-		if entry.Fallback == nil {
-			return 0, false, errBreakerOpen
-		}
-		est, err = s.fallbackEstimate(entry, q)
-		return est, err == nil, err
-	}
-
-	est, err = s.modelEstimate(ctx, entry, model, q, seed)
-	if err == nil && !finitePositive(est) {
-		err = fmt.Errorf("%w %g", errNonFinite, est)
-		s.metrics.nonfiniteTotal.Add(1)
-	}
-	if br != nil {
-		if modelFault(err) {
-			br.record(true)
-		} else if err == nil {
-			br.record(false)
-		}
-	}
-	if err != nil && entry.Fallback != nil && modelFault(err) && !errors.Is(err, context.DeadlineExceeded) {
-		if fb, ferr := s.fallbackEstimate(entry, q); ferr == nil {
-			return fb, true, nil
-		}
-	}
-	return est, false, err
-}
-
-// modelEstimate runs one single-query estimate on the neural model.
-func (s *Server) modelEstimate(ctx context.Context, entry *Entry, model string, q query.Query, seed *int64) (float64, error) {
-	if !s.cfg.NoCoalesce {
-		return s.coalesce(ctx, model, q, seed)
-	}
-	if seed != nil {
-		return entry.Est.EstimateSeededIndexedCtx(ctx, q, *seed, 0)
-	}
-	return entry.Est.EstimateCtx(ctx, q)
 }
 
 // fallbackEstimate answers one query from the entry's histogram shadow

@@ -119,14 +119,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if a != b {
 		t.Errorf("seeded estimates differ: %v vs %v", a, b)
 	}
-	// Model persistence (deprecated weights-only path still works).
-	var buf bytes.Buffer
-	if err := neurocard.SaveModel(est, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := neurocard.LoadModel(&buf); err != nil {
-		t.Fatal(err)
-	}
 	// Full-estimator checkpoint: the restored estimator serves the same
 	// seeded estimates and can keep training.
 	var ckpt bytes.Buffer
